@@ -339,6 +339,14 @@ impl<T: Scalar> Matrix<T> {
         num.sqrt() / other.fro_norm().max(1.0)
     }
 
+    /// `true` when `self` and `other` have the same shape and the same
+    /// element bit patterns — identity of stored values, unlike `==`,
+    /// which equates `-0.0` with `0.0` and never equates NaNs.
+    pub fn bitwise_eq(&self, other: &Matrix<T>) -> bool {
+        self.shape() == other.shape()
+            && self.data.iter().zip(&other.data).all(|(a, b)| a.to_bits_u64() == b.to_bits_u64())
+    }
+
     /// `true` when `self` and `other` agree within relative tolerance `tol`.
     pub fn approx_eq(&self, other: &Matrix<T>, tol: f64) -> bool {
         self.shape() == other.shape() && self.rel_dist(other) <= tol
@@ -477,6 +485,22 @@ impl<T: Scalar> std::fmt::Debug for Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bitwise_eq_compares_bits_not_values() {
+        let a = Matrix::<f64>::from_fn(2, 2, |i, j| (i + j) as f64);
+        assert!(a.bitwise_eq(&a.clone()));
+        let mut z = a.clone();
+        z[(0, 0)] = -0.0;
+        assert_eq!(z, a, "float == equates the signed zeros");
+        assert!(!z.bitwise_eq(&a));
+        let (mut n1, mut n2) = (a.clone(), a.clone());
+        n1[(1, 1)] = f64::from_bits(0x7ff8_0000_0000_0001);
+        n2[(1, 1)] = f64::from_bits(0x7ff8_0000_0000_0002);
+        assert!(n1.bitwise_eq(&n1.clone()), "a NaN payload equals itself bitwise");
+        assert!(!n1.bitwise_eq(&n2));
+        assert!(!a.bitwise_eq(&Matrix::zeros(1, 4)), "shape participates");
+    }
 
     #[test]
     fn construction_and_indexing() {

@@ -64,6 +64,10 @@ pub trait Scalar:
     fn is_finite(self) -> bool;
     /// IEEE maximum of two values.
     fn max(self, other: Self) -> Self;
+    /// The IEEE-754 bit pattern, zero-extended to 64 bits. Equal bits
+    /// mean the same value bit for bit, which float `==` does not:
+    /// `-0.0 == 0.0`, and NaN payloads are invisible to it.
+    fn to_bits_u64(self) -> u64;
 }
 
 macro_rules! impl_scalar {
@@ -105,6 +109,10 @@ macro_rules! impl_scalar {
             fn max(self, other: Self) -> Self {
                 <$t>::max(self, other)
             }
+            #[inline(always)]
+            fn to_bits_u64(self) -> u64 {
+                u64::from(<$t>::to_bits(self))
+            }
         }
     };
 }
@@ -125,6 +133,8 @@ mod tests {
         assert_eq!(T::from_f64(4.0).sqrt(), T::TWO);
         assert_eq!(T::TWO.mul_add(T::TWO, T::ONE).to_f64(), 5.0);
         assert_eq!(T::ONE.max(T::TWO), T::TWO);
+        assert_eq!(T::ONE.to_bits_u64(), T::ONE.to_bits_u64());
+        assert_ne!(T::ZERO.to_bits_u64(), (-T::ZERO).to_bits_u64(), "signed zeros differ");
     }
 
     #[test]

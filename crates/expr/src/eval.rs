@@ -7,6 +7,7 @@
 //! rewritten) is tested against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use laab_dense::{Matrix, Scalar};
 use laab_kernels::{matmul, Trans};
@@ -14,9 +15,15 @@ use laab_kernels::{matmul, Trans};
 use crate::{Context, Expr, Props, Shape};
 
 /// Binding of operand names to concrete matrices.
+///
+/// Each binding is held behind an [`Arc`], so cloning an `Env` shares the
+/// bound matrices instead of copying them: a serving layer clones one
+/// pooled model-operand env per request and re-binds only the payload,
+/// and every clone's model operands stay pointer-equal to the pool's
+/// ([`Env::get_shared`]).
 #[derive(Debug, Clone, Default)]
 pub struct Env<T: Scalar> {
-    map: HashMap<String, Matrix<T>>,
+    map: HashMap<String, Arc<Matrix<T>>>,
 }
 
 impl<T: Scalar> Env<T> {
@@ -27,7 +34,7 @@ impl<T: Scalar> Env<T> {
 
     /// Bind `name` to `value`, replacing any previous binding.
     pub fn insert(&mut self, name: &str, value: Matrix<T>) {
-        self.map.insert(name.to_string(), value);
+        self.map.insert(name.to_string(), Arc::new(value));
     }
 
     /// Builder-style binding.
@@ -38,6 +45,12 @@ impl<T: Scalar> Env<T> {
 
     /// Look up a binding.
     pub fn get(&self, name: &str) -> Option<&Matrix<T>> {
+        self.map.get(name).map(|m| &**m)
+    }
+
+    /// Look up a binding's shared storage — what clones of this env
+    /// point at, for callers that key work on operand identity.
+    pub fn get_shared(&self, name: &str) -> Option<&Arc<Matrix<T>>> {
         self.map.get(name)
     }
 
@@ -241,6 +254,18 @@ mod tests {
     fn unbound_operand_panics() {
         let env = Env::<f32>::new();
         let _ = eval(&var("Z"), &env);
+    }
+
+    #[test]
+    fn clones_share_storage_and_rebinding_does_not() {
+        let base = env_n(4, 8);
+        let mut copy = base.clone();
+        let shared = |e: &Env<f64>, name| e.get_shared(name).unwrap().clone();
+        assert!(Arc::ptr_eq(&shared(&base, "A"), &shared(&copy, "A")));
+        copy.insert("x", Matrix::zeros(4, 1));
+        assert!(!Arc::ptr_eq(&shared(&base, "x"), &shared(&copy, "x")));
+        assert_ne!(base.expect("x"), copy.expect("x"), "the base binding is untouched");
+        assert!(copy.get_shared("Z").is_none());
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //!
 //! When the analysis proves the plan stackable, [`execute_batched_on`]
 //! runs the sweep once; otherwise it falls back to sequential
-//! per-environment [`execute_scheduled_on`] — **bitwise-identical** to
+//! per-environment [`execute_scheduled_on`](crate::execute_scheduled_on)
+//! — **bitwise-identical** to
 //! serving each request solo, so an illegal plan costs a batching server
 //! nothing but the lost amortization. The stacked sweep itself performs
 //! every elementwise step with the same backend entry points as the solo
@@ -46,7 +47,7 @@ use laab_expr::eval::Env;
 use laab_kernels::counters::{self, Kernel};
 use laab_kernels::Trans;
 
-use crate::exec::{execute_scheduled_on, Schedule};
+use crate::exec::{execute_scheduled_preset_on, Schedule, Start};
 use crate::ir::{Graph, NodeId, OpKind};
 
 /// How one node behaves across a batch of environments.
@@ -178,7 +179,8 @@ impl<'e, T: Scalar> BVal<'e, T> {
 /// once: shared nodes execute a single time, varying matmuls go through
 /// [`Backend::matmul_batched`], and everything else is per-part through
 /// the identical backend entry points the solo sweep uses. Otherwise the
-/// call falls back to sequential [`execute_scheduled_on`] per
+/// call falls back to sequential
+/// [`execute_scheduled_on`](crate::execute_scheduled_on) per
 /// environment — bitwise-identical to solo serving.
 ///
 /// The caller guarantees that every input *not* named varying by the
@@ -188,13 +190,34 @@ impl<'e, T: Scalar> BVal<'e, T> {
 /// # Panics
 /// When `envs` is empty, when `schedule`/`analysis` were built for a
 /// different graph (length mismatch), plus everything
-/// [`execute_scheduled_on`] panics on.
+/// [`execute_scheduled_on`](crate::execute_scheduled_on) panics on.
 pub fn execute_batched_on<T: Scalar>(
     g: &Graph,
     schedule: &Schedule,
     analysis: &BatchAnalysis,
     envs: &[&Env<T>],
     backend: &dyn Backend<T>,
+) -> Vec<Vec<Matrix<T>>> {
+    execute_batched_preset_on(g, schedule, analysis, envs, backend, &[])
+}
+
+/// [`execute_batched_on`] with some `Shared` node values already known —
+/// the batched form of [`execute_scheduled_preset_on`]. The stacked sweep
+/// binds each preset value once for the whole batch and skips the nodes
+/// only preset nodes read; the per-environment fallback hands the same
+/// preset to every solo sweep.
+///
+/// # Panics
+/// When a preset node is `Stacked` in `analysis` (a per-environment
+/// value cannot be precomputed once), plus everything
+/// [`execute_batched_on`] and [`execute_scheduled_preset_on`] panic on.
+pub fn execute_batched_preset_on<'a, T: Scalar>(
+    g: &Graph,
+    schedule: &Schedule,
+    analysis: &BatchAnalysis,
+    envs: &[&'a Env<T>],
+    backend: &dyn Backend<T>,
+    preset: &[(NodeId, &'a Matrix<T>)],
 ) -> Vec<Vec<Matrix<T>>> {
     assert!(!envs.is_empty(), "execute_batched_on: empty environment batch");
     assert_eq!(
@@ -204,8 +227,19 @@ pub fn execute_batched_on<T: Scalar>(
         analysis.len(),
         g.len()
     );
+    for &(id, _) in preset {
+        assert_eq!(
+            analysis.status(id),
+            BatchStatus::Shared,
+            "preset node {} is stacked: only shared values can be precomputed",
+            id.0
+        );
+    }
     if !analysis.stackable() || envs.len() == 1 {
-        return envs.iter().map(|env| execute_scheduled_on(g, schedule, env, backend)).collect();
+        return envs
+            .iter()
+            .map(|env| execute_scheduled_preset_on(g, schedule, env, backend, preset))
+            .collect();
     }
     assert_eq!(
         schedule.len(),
@@ -217,12 +251,21 @@ pub fn execute_batched_on<T: Scalar>(
     debug_assert_eq!(g.check_topology(), Ok(()));
 
     let q = envs.len();
-    let mut remaining = schedule.use_counts().to_vec();
-    let mut values: Vec<Option<BVal<'_, T>>> = Vec::with_capacity(g.len());
+    let mut start = Start::new(g, schedule.use_counts().to_vec(), preset);
+    let mut remaining = std::mem::take(&mut start.remaining);
+    let mut values: Vec<Option<BVal<'a, T>>> = Vec::with_capacity(g.len());
 
     for (i, node) in g.nodes.iter().enumerate() {
+        if let Some(m) = start.preset(i) {
+            values.push(Some(BVal::SharedRef(m)));
+            continue;
+        }
+        if start.skips(i) {
+            values.push(None);
+            continue;
+        }
         let stacked_out = analysis.status[i] == BatchStatus::Stacked;
-        let val: BVal<'_, T> = match &node.kind {
+        let val: BVal<'a, T> = match &node.kind {
             OpKind::Input(name) => {
                 if stacked_out {
                     let parts: Vec<&Matrix<T>> = envs
@@ -411,6 +454,7 @@ pub fn execute_batched_on<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute_scheduled_on;
     use crate::ir::GraphBuilder;
     use crate::passes::{optimize, PassConfig};
     use laab_dense::gen::OperandGen;
@@ -646,6 +690,79 @@ mod tests {
             assert_eq!(&b[0], env.expect("H"));
             assert_eq!(b[1], b[2]);
         }
+    }
+
+    /// `(HᵀH)x` optimized: the `HᵀH` GEMM is a shared node feeding the
+    /// stacked product. Returns the graph and that node.
+    fn invariant_chain(n: usize) -> (Graph, NodeId) {
+        let mut gb = GraphBuilder::new();
+        let h = gb.input("H", n, n);
+        let x = gb.input("x", n, 1);
+        let ht = gb.transpose(h);
+        let hth = gb.matmul(ht, h);
+        let out = gb.matmul(hth, x);
+        let mut g = gb.finish(vec![out]);
+        optimize(&mut g, &PassConfig::all());
+        let hth = g.node(g.outputs[0]).inputs[0];
+        assert!(matches!(g.node(hth).kind, OpKind::MatMul { .. }));
+        (g, hth)
+    }
+
+    #[test]
+    fn preset_shared_nodes_are_bitwise_on_both_paths() {
+        let n = 40;
+        let (g, hth) = invariant_chain(n);
+        let schedule = Schedule::new(&g);
+        let owned = envs(n, 5, 31);
+        let refs: Vec<&Env<f64>> = owned.iter().collect();
+        let mut only = g.clone();
+        only.outputs = vec![hth];
+        for stackable in [true, false] {
+            let varying = |name: &str| stackable && is_varying(name);
+            let analysis = BatchAnalysis::analyze(&g, varying);
+            assert_eq!(analysis.stackable(), stackable);
+            assert_eq!(analysis.status(hth), BatchStatus::Shared);
+            for reg in laab_backend::registry::builtins() {
+                let backend = reg.resolve::<f64>().unwrap();
+                let value = execute_scheduled_on(&only, &Schedule::new(&only), refs[0], backend);
+                let (plain, c0) = counters::measure(|| {
+                    execute_batched_on(&g, &schedule, &analysis, &refs, backend)
+                });
+                let preset = [(hth, &value[0])];
+                let (got, c) = counters::measure(|| {
+                    execute_batched_preset_on(&g, &schedule, &analysis, &refs, backend, &preset)
+                });
+                // The shared GEMM runs once per sweep: once per batch when
+                // stacked, once per environment on the fallback (counted
+                // by the engine; the reference kernels record nothing).
+                if reg.name() == "engine" {
+                    let saved = if stackable { 1 } else { refs.len() as u64 };
+                    assert_eq!(c0.calls(Kernel::Gemm) - c.calls(Kernel::Gemm), saved);
+                }
+                for (a, b) in got.iter().zip(&plain) {
+                    assert!(a[0].bitwise_eq(&b[0]), "{} stackable={stackable}", reg.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only shared values can be precomputed")]
+    fn presetting_a_stacked_node_panics() {
+        let (g, _) = invariant_chain(6);
+        let analysis = BatchAnalysis::analyze(&g, is_varying);
+        let owned = envs(6, 2, 37);
+        let refs: Vec<&Env<f64>> = owned.iter().collect();
+        let out = g.outputs[0];
+        let wrong = Matrix::zeros(6, 1);
+        let _ = execute_batched_preset_on(
+            &g,
+            &Schedule::new(&g),
+            &analysis,
+            &refs,
+            laab_backend::engine(),
+            &[(out, &wrong)],
+        );
     }
 
     #[test]

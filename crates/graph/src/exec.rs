@@ -25,6 +25,13 @@
 //! computed once at plan-compile time and re-used by
 //! [`execute_scheduled`] with fresh operand bindings (the `tf.function`
 //! concrete-function analogue that `laab-serve` caches).
+//!
+//! A caller that already holds some node values — the request-invariant
+//! products a serving plan memoizes across requests — hands them to
+//! [`execute_scheduled_preset_on`]. Preset nodes are bound by reference,
+//! exactly like fed operands, and every node that only preset nodes read
+//! is skipped. [`execute_scheduled_on`] is the same sweep with nothing
+//! preset.
 
 use laab_backend::{engine, Backend};
 use laab_dense::{Matrix, Scalar, Tridiagonal};
@@ -151,6 +158,75 @@ impl Schedule {
     }
 }
 
+/// Where one sweep starts: the per-node remaining-use counts and, when
+/// some node values are preset, which nodes it binds and which it skips.
+/// Shared by the solo sweep and the batched sweep so both treat preset
+/// values identically.
+pub(crate) struct Start<'p, T: Scalar> {
+    /// Per-node reference counts the free-after-last-use sweep starts
+    /// from.
+    pub(crate) remaining: Vec<u32>,
+    /// Per-node preset value; empty when nothing is preset.
+    preset: Vec<Option<&'p Matrix<T>>>,
+    /// Per-node "nothing that runs reads this"; empty when nothing is
+    /// preset.
+    skip: Vec<bool>,
+}
+
+impl<'p, T: Scalar> Start<'p, T> {
+    /// The start of a sweep over `g` whose use counts are `counts` when
+    /// nothing is preset. With `preset` values, the counts are re-derived
+    /// from the outputs backwards, counting only the edges of nodes that
+    /// run — so a preset node's inputs lose the uses that node would have
+    /// made, and a node left with no use is skipped.
+    ///
+    /// # Panics
+    /// When a preset value's shape differs from its node's.
+    pub(crate) fn new(g: &Graph, counts: Vec<u32>, preset: &[(NodeId, &'p Matrix<T>)]) -> Self {
+        if preset.is_empty() {
+            return Self { remaining: counts, preset: Vec::new(), skip: Vec::new() };
+        }
+        let mut bound = vec![None; g.len()];
+        for &(id, m) in preset {
+            let shape = g.node(id).shape;
+            assert_eq!(
+                m.shape(),
+                (shape.rows, shape.cols),
+                "preset value for node {} has shape {}x{}, graph expects {shape}",
+                id.0,
+                m.rows(),
+                m.cols()
+            );
+            bound[id.idx()] = Some(m);
+        }
+        let mut remaining = vec![0u32; g.len()];
+        for out in &g.outputs {
+            remaining[out.idx()] += 1;
+        }
+        // Reverse topological order: every consumer of node `i` has been
+        // visited before `i`, so `remaining[i]` is final when `i` is.
+        for (i, node) in g.nodes.iter().enumerate().rev() {
+            if remaining[i] > 0 && bound[i].is_none() {
+                for inp in &node.inputs {
+                    remaining[inp.idx()] += 1;
+                }
+            }
+        }
+        let skip = remaining.iter().map(|&r| r == 0).collect();
+        Self { remaining, preset: bound, skip }
+    }
+
+    /// The value preset for node `i`, if any.
+    pub(crate) fn preset(&self, i: usize) -> Option<&'p Matrix<T>> {
+        self.preset.get(i).copied().flatten()
+    }
+
+    /// Whether the sweep skips node `i` (no node that runs reads it).
+    pub(crate) fn skips(&self, i: usize) -> bool {
+        self.skip.get(i).copied().unwrap_or(false)
+    }
+}
+
 /// Execute the graph against the fed operands, returning the outputs in
 /// fetch order.
 ///
@@ -168,7 +244,7 @@ pub fn execute<T: Scalar>(g: &Graph, env: &Env<T>) -> Vec<Matrix<T>> {
 /// # Panics
 /// Everything [`execute`] panics on.
 pub fn execute_on<T: Scalar>(g: &Graph, env: &Env<T>, backend: &dyn Backend<T>) -> Vec<Matrix<T>> {
-    execute_with_counts(g, g.use_counts(), env, backend)
+    sweep(g, Start::new(g, g.use_counts(), &[]), env, backend)
 }
 
 /// Execute the graph under a precomputed [`Schedule`], skipping the
@@ -200,6 +276,30 @@ pub fn execute_scheduled_on<T: Scalar>(
     env: &Env<T>,
     backend: &dyn Backend<T>,
 ) -> Vec<Matrix<T>> {
+    execute_scheduled_preset_on(g, schedule, env, backend, &[])
+}
+
+/// [`execute_scheduled_on`] with some node values already known: each
+/// `(node, value)` in `preset` is bound by reference instead of computed,
+/// and every node that only preset nodes read (their exclusive
+/// ancestors, fed operands included) is skipped and needs no binding in
+/// `env`. Given the values this sweep would have computed for those
+/// nodes, the outputs are bit-for-bit the un-preset sweep's: every node
+/// that still runs sees the same operands and dispatches the same
+/// backend entry point (a preset operand is borrowed, so it is never
+/// updated in place, and the in-place and allocating entry points are
+/// bitwise-identical by the [`Backend`] contract).
+///
+/// # Panics
+/// When a preset value's shape differs from its node's, plus everything
+/// [`execute_scheduled`] panics on.
+pub fn execute_scheduled_preset_on<T: Scalar>(
+    g: &Graph,
+    schedule: &Schedule,
+    env: &Env<T>,
+    backend: &dyn Backend<T>,
+    preset: &[(NodeId, &Matrix<T>)],
+) -> Vec<Matrix<T>> {
     assert_eq!(
         schedule.len(),
         g.len(),
@@ -207,19 +307,28 @@ pub fn execute_scheduled_on<T: Scalar>(
         schedule.len(),
         g.len()
     );
-    execute_with_counts(g, schedule.use_counts.clone(), env, backend)
+    sweep(g, Start::new(g, schedule.use_counts.clone(), preset), env, backend)
 }
 
-fn execute_with_counts<'e, T: Scalar>(
+fn sweep<'e, T: Scalar>(
     g: &Graph,
-    mut remaining: Vec<u32>,
+    mut start: Start<'e, T>,
     env: &'e Env<T>,
     backend: &dyn Backend<T>,
 ) -> Vec<Matrix<T>> {
     debug_assert_eq!(g.check_topology(), Ok(()));
+    let mut remaining = std::mem::take(&mut start.remaining);
     let mut values: Vec<Option<Val<'e, T>>> = Vec::with_capacity(g.len());
 
-    for node in g.nodes.iter() {
+    for (i, node) in g.nodes.iter().enumerate() {
+        if let Some(m) = start.preset(i) {
+            values.push(Some(Val::Ref(m)));
+            continue;
+        }
+        if start.skips(i) {
+            values.push(None);
+            continue;
+        }
         let val: Val<'e, T> = match &node.kind {
             OpKind::Input(name) => {
                 let m = env.expect(name);
@@ -614,6 +723,76 @@ mod tests {
         let mut g_opt = fig3_graph(8);
         optimize(&mut g_opt, &PassConfig::all());
         let _ = execute_scheduled(&g_opt, &schedule, &e);
+    }
+
+    /// `(AᵀA)x` traced left to right, unoptimized, with the invariant
+    /// `AᵀA` node, plus `Ax` when `with_ax` (a second reader of `A`).
+    fn invariant_chain(n: usize, with_ax: bool) -> (Graph, NodeId) {
+        let mut gb = GraphBuilder::new();
+        let a = gb.input("A", n, n);
+        let x = gb.input("x", n, 1);
+        let at = gb.transpose(a);
+        let ata = gb.matmul(at, a);
+        let mut outputs = vec![gb.matmul(ata, x)];
+        if with_ax {
+            outputs.push(gb.matmul(a, x));
+            outputs.push(ata);
+        }
+        (gb.finish(outputs), ata)
+    }
+
+    /// The value the plain sweep computes for `node`.
+    fn node_value(g: &Graph, node: NodeId, env: &Env<f64>) -> Matrix<f64> {
+        let mut only = g.clone();
+        only.outputs = vec![node];
+        execute(&only, env).remove(0)
+    }
+
+    #[test]
+    fn preset_nodes_bind_and_their_exclusive_ancestors_skip() {
+        let n = 12;
+        let e = env(n, 37);
+        let (g, ata) = invariant_chain(n, false);
+        let schedule = Schedule::new(&g);
+        let full = execute_scheduled(&g, &schedule, &e);
+        let value = node_value(&g, ata, &e);
+        // `A` and its transpose are read only by the preset node: they are
+        // skipped, so the env need not bind `A` at all.
+        let payload = Env::new().with("x", e.expect("x").clone());
+        let (got, c) = counters::measure(|| {
+            execute_scheduled_preset_on(&g, &schedule, &payload, engine(), &[(ata, &value)])
+        });
+        assert!(got[0].bitwise_eq(&full[0]), "a preset sweep is bit for bit the plain one");
+        assert_eq!(c.calls(Kernel::Gemm), 0);
+        assert_eq!(c.calls(Kernel::Transpose), 0);
+        assert_eq!(c.calls(Kernel::Gemv), 1);
+    }
+
+    #[test]
+    fn preset_outputs_and_shared_ancestors_stay_bound() {
+        // `A` has a second reader (`Ax`), so it is still fed; the preset
+        // node is also fetched as an output (a copy of the preset value).
+        let n = 9;
+        let e = env(n, 41);
+        let (g, ata) = invariant_chain(n, true);
+        let schedule = Schedule::new(&g);
+        let full = execute_scheduled(&g, &schedule, &e);
+        let value = node_value(&g, ata, &e);
+        let got = execute_scheduled_preset_on(&g, &schedule, &e, engine(), &[(ata, &value)]);
+        assert_eq!(got.len(), 3);
+        for (a, b) in got.iter().zip(&full) {
+            assert!(a.bitwise_eq(b));
+        }
+        assert!(got[2].bitwise_eq(&value));
+    }
+
+    #[test]
+    #[should_panic(expected = "preset value for node 3 has shape")]
+    fn preset_shape_mismatch_panics() {
+        let e = env(6, 43);
+        let (g, ata) = invariant_chain(6, false);
+        let wrong = Matrix::zeros(6, 1);
+        let _ = execute_scheduled_preset_on(&g, &Schedule::new(&g), &e, engine(), &[(ata, &wrong)]);
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   precomputes the structural bookkeeping — use counts and the
 //!   peak-live workspace layout — and [`execute_scheduled`] /
 //!   [`execute_scheduled_on`] re-run the identical sweep against fresh
-//!   operand bindings.
+//!   operand bindings; [`execute_scheduled_preset_on`] runs it with some
+//!   node values precomputed (request-invariant products a serving plan
+//!   memoizes), skipping the nodes only those values read.
 //! * [`batch`] — batched (multi-environment) execution for serving
 //!   systems that coalesce same-signature requests: [`BatchAnalysis`]
 //!   classifies each node shared/stacked and proves RHS-stackability,
@@ -43,7 +45,10 @@ pub mod exec;
 mod ir;
 pub mod passes;
 
-pub use batch::{execute_batched_on, BatchAnalysis, BatchStatus};
-pub use exec::{execute, execute_on, execute_scheduled, execute_scheduled_on, Schedule};
+pub use batch::{execute_batched_on, execute_batched_preset_on, BatchAnalysis, BatchStatus};
+pub use exec::{
+    execute, execute_on, execute_scheduled, execute_scheduled_on, execute_scheduled_preset_on,
+    Schedule,
+};
 pub use ir::{Graph, GraphBuilder, Node, NodeId, OpKind};
 pub use passes::{optimize, PassConfig, PassStats};

@@ -1425,13 +1425,7 @@ fn probe_levels<T: BackendScalar>(
     seed: u64,
     tol: f64,
 ) -> bool {
-    let owned;
-    let env: &Env<T> = if req.family.payload_operands().is_empty() {
-        pool_env
-    } else {
-        owned = req.env_from_pool(pool_env, seed);
-        &owned
-    };
+    let env = req.env_from_pool(pool_env, seed);
     let run = |opt: OptLevel| {
         let (plan, _) = cache.get_or_compile(req.signature_opt(reg.id(), opt), || {
             Plan::compile_opt(
@@ -1443,7 +1437,7 @@ fn probe_levels<T: BackendScalar>(
                 opt,
             )
         });
-        plan.execute::<T>(env)
+        plan.execute::<T>(&env)
     };
     let passes = run(OptLevel::Passes);
     let egraph = run(OptLevel::Egraph);
@@ -1468,13 +1462,7 @@ fn probe_deferred<T: BackendScalar>(
     dtuning: laab_deferred::Tuning,
     tol: f64,
 ) -> bool {
-    let owned;
-    let env: &Env<T> = if req.family.payload_operands().is_empty() {
-        pool_env
-    } else {
-        owned = req.env_from_pool(pool_env, seed);
-        &owned
-    };
+    let env = req.env_from_pool(pool_env, seed);
     let run = |reg: &'static Registration| {
         let (plan, _) = cache.get_or_compile(req.signature(reg.id()), || {
             Plan::compile_with_varying(
@@ -1485,7 +1473,7 @@ fn probe_deferred<T: BackendScalar>(
                 req.family.varying_operands(),
             )
         });
-        plan.execute::<T>(env)
+        plan.execute::<T>(&env)
     };
     let want = run(engine);
     let got =
@@ -1516,14 +1504,8 @@ fn execute_live<T: BackendScalar>(
     seed: u64,
 ) {
     let req0 = &mix[idx[0]];
-    let has_payload = !req0.family.payload_operands().is_empty();
-    let owned: Vec<Env<T>> = if has_payload {
-        idx.iter().map(|&r| mix[r].env_from_pool(pool_env, seed)).collect()
-    } else {
-        Vec::new()
-    };
-    let refs: Vec<&Env<T>> =
-        if has_payload { owned.iter().collect() } else { idx.iter().map(|_| pool_env).collect() };
+    let owned: Vec<Env<T>> = idx.iter().map(|&r| mix[r].env_from_pool(pool_env, seed)).collect();
+    let refs: Vec<&Env<T>> = owned.iter().collect();
     let (plan, _) = cache.get_or_compile(req0.signature(reg.id()), || {
         Plan::compile_with_varying(
             fw,
@@ -1831,34 +1813,19 @@ pub fn run(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
         let batch = &batches[bi];
         let req0 = &mix[batch.idx[0]];
         let pool = &pools[&(req0.family, req0.n)];
-        let has_payload = !req0.family.payload_operands().is_empty();
         // Operand binding happens outside the timed sections: a server
         // holds its request payloads before admission.
         match req0.dtype {
             Dtype::F64 => {
-                let owned: Vec<Env<f64>> = if has_payload {
-                    batch.idx.iter().map(|&r| mix[r].env_from_pool(&pool.f64, cfg.seed)).collect()
-                } else {
-                    Vec::new()
-                };
-                let refs: Vec<&Env<f64>> = if has_payload {
-                    owned.iter().collect()
-                } else {
-                    batch.idx.iter().map(|_| &pool.f64).collect()
-                };
+                let owned: Vec<Env<f64>> =
+                    batch.idx.iter().map(|&r| mix[r].env_from_pool(&pool.f64, cfg.seed)).collect();
+                let refs: Vec<&Env<f64>> = owned.iter().collect();
                 drive_batch(bi, batch, &mix, &refs, &lanes, &cache, &fw, &slots, dtuning);
             }
             Dtype::F32 => {
-                let owned: Vec<Env<f32>> = if has_payload {
-                    batch.idx.iter().map(|&r| mix[r].env_from_pool(&pool.f32, cfg.seed)).collect()
-                } else {
-                    Vec::new()
-                };
-                let refs: Vec<&Env<f32>> = if has_payload {
-                    owned.iter().collect()
-                } else {
-                    batch.idx.iter().map(|_| &pool.f32).collect()
-                };
+                let owned: Vec<Env<f32>> =
+                    batch.idx.iter().map(|&r| mix[r].env_from_pool(&pool.f32, cfg.seed)).collect();
+                let refs: Vec<&Env<f32>> = owned.iter().collect();
                 drive_batch(bi, batch, &mix, &refs, &lanes, &cache, &fw, &slots, dtuning);
             }
         }

@@ -1010,12 +1010,7 @@ fn oracle_one<T: BackendScalar>(
             req.family.varying_operands(),
         )
     });
-    let results = if req.family.payload_operands().is_empty() {
-        plan.execute::<T>(pool)
-    } else {
-        plan.execute::<T>(&req.env_from_pool(pool, seed))
-    };
-    proto::result_checksum(&results)
+    proto::result_checksum(&plan.execute::<T>(&req.env_from_pool(pool, seed)))
 }
 
 #[cfg(test)]

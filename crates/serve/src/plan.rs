@@ -1,15 +1,19 @@
-//! The compiled plan: optimized graph + schedule, bound to a backend.
+//! The compiled plan: optimized graph + schedule, bound to a backend,
+//! with its request-invariant products memoized across requests.
 
-use std::sync::OnceLock;
+use std::any::Any;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use laab_backend::{BackendId, BackendScalar, Registration};
+use laab_backend::{Backend, BackendId, BackendScalar, Dtype, Registration};
 use laab_dense::Matrix;
 use laab_expr::eval::Env;
 use laab_expr::{Context, Expr};
 use laab_framework::Framework;
+use laab_graph::passes::dce;
 use laab_graph::{
-    execute_batched_on, execute_scheduled_on, BatchAnalysis, Graph, PassStats, Schedule,
+    execute_batched_preset_on, execute_scheduled_on, execute_scheduled_preset_on, BatchAnalysis,
+    BatchStatus, Graph, NodeId, OpKind, PassStats, Schedule,
 };
 use laab_rewrite::{optimize_egraph, CostModel, EgraphConfig};
 
@@ -43,6 +47,139 @@ fn serve_cost_model() -> &'static CostModel {
     MODEL.get_or_init(|| CostModel::load_or_default(std::path::Path::new("BENCH_gemm.json")))
 }
 
+/// The frontier values computed from one binding of the key operands.
+#[derive(Debug)]
+struct Memo<T: BackendScalar> {
+    /// The key operands the values were computed from, in
+    /// [`Hoist::keys`] order.
+    keys: Vec<Arc<Matrix<T>>>,
+    /// The frontier values, in [`Hoist::frontier`] order.
+    values: Vec<Matrix<T>>,
+}
+
+impl<T: BackendScalar> Memo<T> {
+    /// Whether `env` binds the memo's key operands: the same storage, or
+    /// the same bits. Float `==` is never used, so `-0.0` against `0.0`,
+    /// or NaNs with different payloads, miss.
+    fn matches(&self, names: &[String], env: &Env<T>) -> bool {
+        names.iter().zip(&self.keys).all(|(name, key)| {
+            env.get_shared(name).is_some_and(|m| Arc::ptr_eq(m, key) || m.bitwise_eq(key))
+        })
+    }
+}
+
+/// A plan's request-invariant subgraph, computed once and reused while
+/// the operands it reads stay the same.
+///
+/// The *frontier* is every `Shared` (request-invariant) non-input node
+/// that feeds a `Stacked` (per-request) node or is fetched as an output:
+/// the outermost values that depend on model operands alone. The *keys*
+/// are the shared inputs the frontier reads. Executions preset the
+/// frontier from the memo when the request binds the same keys, so the
+/// nodes only the frontier reads are skipped; a miss computes the
+/// frontier's ancestors once and replaces the memo. One memo per dtype,
+/// so a plan holds at most one frontier per element type, dropped with
+/// the plan.
+#[derive(Debug)]
+struct Hoist {
+    frontier: Vec<NodeId>,
+    keys: Vec<String>,
+    /// The frontier's ancestors only, fetching the frontier in order.
+    graph: Graph,
+    schedule: Schedule,
+    f64: Mutex<Option<Arc<Memo<f64>>>>,
+    f32: Mutex<Option<Arc<Memo<f32>>>>,
+}
+
+impl Hoist {
+    /// The hoisted frontier of `g` under `batch`, or `None` when no
+    /// shared non-input node feeds per-request work. A graph with no
+    /// per-request node at all never hoists: memoizing it would cache
+    /// whole results, not hoist shared work out of per-request work.
+    fn derive(g: &Graph, batch: &BatchAnalysis) -> Option<Hoist> {
+        if (0..g.len() as u32).all(|i| batch.status(NodeId(i)) == BatchStatus::Shared) {
+            return None;
+        }
+        let hoistable = |id: NodeId| {
+            batch.status(id) == BatchStatus::Shared && !matches!(g.node(id).kind, OpKind::Input(_))
+        };
+        let mut on_frontier = vec![false; g.len()];
+        for (i, node) in g.nodes.iter().enumerate() {
+            if batch.status(NodeId(i as u32)) == BatchStatus::Stacked {
+                for &inp in node.inputs.iter().filter(|&&inp| hoistable(inp)) {
+                    on_frontier[inp.idx()] = true;
+                }
+            }
+        }
+        for &out in g.outputs.iter().filter(|&&out| hoistable(out)) {
+            on_frontier[out.idx()] = true;
+        }
+        let frontier: Vec<NodeId> =
+            (0..g.len() as u32).map(NodeId).filter(|id| on_frontier[id.idx()]).collect();
+        if frontier.is_empty() {
+            return None;
+        }
+        let mut graph = Graph { nodes: g.nodes.clone(), outputs: frontier.clone() };
+        dce(&mut graph);
+        let keys = graph
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.kind {
+                OpKind::Input(name) => Some(name.clone()),
+                _ => None,
+            })
+            .collect();
+        let schedule = Schedule::new(&graph);
+        Some(Hoist {
+            frontier,
+            keys,
+            graph,
+            schedule,
+            f64: Mutex::new(None),
+            f32: Mutex::new(None),
+        })
+    }
+
+    fn slot<T: BackendScalar>(&self) -> &Mutex<Option<Arc<Memo<T>>>> {
+        let slot: &dyn Any = match T::DTYPE {
+            Dtype::F64 => &self.f64,
+            Dtype::F32 => &self.f32,
+        };
+        slot.downcast_ref().expect("the dtype tag names the element type")
+    }
+
+    /// The frontier values for a batch whose environments all bind the
+    /// same keys, computing and memoizing them from the first on a miss.
+    /// `None` for an empty batch, or when a key is unbound or the
+    /// environments disagree on one — the caller then runs the plain
+    /// sweep, which reports or handles it exactly as it would without the
+    /// memo.
+    fn memo<T: BackendScalar>(
+        &self,
+        envs: &[&Env<T>],
+        backend: &dyn Backend<T>,
+    ) -> Option<Arc<Memo<T>>> {
+        let (first, rest) = envs.split_first()?;
+        let slot = self.slot::<T>();
+        let cached = slot.lock().expect("a memo holder never panics").clone();
+        let memo = match cached.filter(|m| m.matches(&self.keys, first)) {
+            Some(m) => m,
+            None => {
+                let keys: Vec<Arc<Matrix<T>>> = self
+                    .keys
+                    .iter()
+                    .map(|k| first.get_shared(k).cloned())
+                    .collect::<Option<_>>()?;
+                let values = execute_scheduled_on(&self.graph, &self.schedule, first, backend);
+                let m = Arc::new(Memo { keys, values });
+                *slot.lock().expect("a memo holder never panics") = Some(m.clone());
+                m
+            }
+        };
+        rest.iter().all(|env| memo.matches(&self.keys, env)).then_some(memo)
+    }
+}
+
 /// A compiled, reusable execution plan — the `ConcreteFunction` of the
 /// `tf.function` analogy.
 ///
@@ -56,11 +193,18 @@ fn serve_cost_model() -> &'static CostModel {
 /// re-runs the identical sweep with fresh operand bindings: a cache hit
 /// pays no tracing, no optimization, and no schedule derivation, and its
 /// result is bitwise-identical to a cold trace on the same backend.
+///
+/// When some operands are declared request-varying, the plan also
+/// memoizes its request-invariant products (see
+/// [`Plan::hoisted_nodes`]): a request that binds the same model
+/// operands as the last one reuses them instead of recomputing them, bit
+/// for bit.
 #[derive(Debug)]
 pub struct Plan {
     graph: Graph,
     schedule: Schedule,
     batch: BatchAnalysis,
+    hoist: Option<Hoist>,
     build_secs: f64,
     stats: PassStats,
     backend: &'static Registration,
@@ -107,6 +251,9 @@ impl Plan {
     /// budget hit falls back to the input expression (the plan still
     /// compiles; [`Plan::egraph_report`] records the hit). The graph
     /// passes then run as usual on either form.
+    ///
+    /// With a non-empty `varying` set the compile also derives the
+    /// hoisted frontier from the batch analysis ([`Plan::hoisted_nodes`]).
     pub fn compile_opt(
         fw: &Framework,
         expr: &Expr,
@@ -136,11 +283,13 @@ impl Plan {
         let (graph, _trace_time, stats) = function.into_plan_parts();
         let schedule = Schedule::new(&graph);
         let batch = BatchAnalysis::analyze(&graph, |name| varying.contains(&name));
+        let hoist = if varying.is_empty() { None } else { Hoist::derive(&graph, &batch) };
         Plan {
             build_secs: t0.elapsed().as_secs_f64(),
             graph,
             schedule,
             batch,
+            hoist,
             stats,
             backend,
             egraph,
@@ -148,7 +297,11 @@ impl Plan {
     }
 
     /// Execute the plan against fresh operand bindings, dispatching every
-    /// kernel-backed node through the plan's backend.
+    /// kernel-backed node through the plan's backend. The hoisted
+    /// frontier comes from the memo when `env` binds the memo's model
+    /// operands (by storage or bit pattern), and is computed and
+    /// memoized otherwise; either way the result is bit for bit the
+    /// plain sweep's.
     ///
     /// # Panics
     /// When the plan's backend has no entry point for `T` — the serve
@@ -156,20 +309,17 @@ impl Plan {
     /// any dispatch, so reaching this panic means a caller skipped that
     /// validation.
     pub fn execute<T: BackendScalar>(&self, env: &Env<T>) -> Vec<Matrix<T>> {
-        let backend = self.backend.resolve::<T>().unwrap_or_else(|| {
-            panic!(
-                "backend `{}` has no {} entry point (validate dtype support before dispatch)",
-                self.backend.name(),
-                T::DTYPE
-            )
-        });
+        let backend = self.resolve::<T>();
         // The deferred backend is a whole-plan executor, not a per-node
         // kernel set: route through its tape so ops queue and fuse at
-        // flush instead of dispatching node by node.
-        if self.backend.name() == laab_deferred::BACKEND_NAME {
+        // flush instead of dispatching node by node. It bypasses the
+        // memo, so its tape and launch accounting see every op.
+        if self.is_deferred() {
             return laab_deferred::execute_plan(&self.graph, &self.schedule, env);
         }
-        execute_scheduled_on(&self.graph, &self.schedule, env, backend)
+        let memo = self.memo(&[env], backend);
+        let preset = self.preset(memo.as_deref());
+        execute_scheduled_preset_on(&self.graph, &self.schedule, env, backend, &preset)
     }
 
     /// Execute the plan once over a batch of operand environments —
@@ -178,23 +328,19 @@ impl Plan {
     /// multi-RHS execution through the plan's backend
     /// ([`laab_backend::Backend::matmul_batched`]); otherwise each
     /// environment executes sequentially, bitwise-identical to
-    /// [`Plan::execute`] per request.
+    /// [`Plan::execute`] per request. The hoisted frontier is preset for
+    /// the whole batch when every environment binds the memo's model
+    /// operands.
     ///
     /// # Panics
     /// As [`Plan::execute`], plus on an empty batch.
     pub fn execute_batched<T: BackendScalar>(&self, envs: &[&Env<T>]) -> Vec<Vec<Matrix<T>>> {
-        let backend = self.backend.resolve::<T>().unwrap_or_else(|| {
-            panic!(
-                "backend `{}` has no {} entry point (validate dtype support before dispatch)",
-                self.backend.name(),
-                T::DTYPE
-            )
-        });
-        if self.backend.name() == laab_deferred::BACKEND_NAME && !self.batch.stackable() {
+        let backend = self.resolve::<T>();
+        if self.is_deferred() && !self.batch.stackable() {
             // Non-stackable batches fall back per request; for the
             // deferred backend that means per-request tapes (with their
             // within-request fusion) rather than per-node dispatches.
-            // Stackable batches stay on `execute_batched_on`: the
+            // Stackable batches stay on the batched sweep: the
             // coalesced multi-RHS product reaches the deferred backend's
             // `matmul_batched`, which charges one launch for the whole
             // window — the cross-request granularity of the same fusion.
@@ -203,7 +349,55 @@ impl Plan {
                 .map(|env| laab_deferred::execute_plan(&self.graph, &self.schedule, env))
                 .collect();
         }
-        execute_batched_on(&self.graph, &self.schedule, &self.batch, envs, backend)
+        let memo = if self.is_deferred() { None } else { self.memo(envs, backend) };
+        let preset = self.preset(memo.as_deref());
+        execute_batched_preset_on(&self.graph, &self.schedule, &self.batch, envs, backend, &preset)
+    }
+
+    fn resolve<T: BackendScalar>(&self) -> &'static dyn Backend<T> {
+        self.backend.resolve::<T>().unwrap_or_else(|| {
+            panic!(
+                "backend `{}` has no {} entry point (validate dtype support before dispatch)",
+                self.backend.name(),
+                T::DTYPE
+            )
+        })
+    }
+
+    fn is_deferred(&self) -> bool {
+        self.backend.name() == laab_deferred::BACKEND_NAME
+    }
+
+    /// The memoized frontier values for `envs`, when the plan hoists and
+    /// every environment binds the same model operands.
+    fn memo<T: BackendScalar>(
+        &self,
+        envs: &[&Env<T>],
+        backend: &dyn Backend<T>,
+    ) -> Option<Arc<Memo<T>>> {
+        self.hoist.as_ref()?.memo(envs, backend)
+    }
+
+    /// The hoisted frontier bound to `memo`'s values (nothing preset
+    /// without a memo).
+    fn preset<'m, T: BackendScalar>(
+        &self,
+        memo: Option<&'m Memo<T>>,
+    ) -> Vec<(NodeId, &'m Matrix<T>)> {
+        memo.map_or_else(Vec::new, |m| {
+            self.hoisted_nodes().iter().copied().zip(&m.values).collect()
+        })
+    }
+
+    /// The request-invariant nodes whose values the plan memoizes across
+    /// executions: the `Shared` non-input nodes that feed a `Stacked`
+    /// node or are fetched as outputs. Empty when nothing hoists, and
+    /// always for a plan with no per-request node (in particular one
+    /// compiled with no varying operand): the whole plan reads as
+    /// invariant there, and memoizing it would cache results instead of
+    /// hoisting shared work.
+    pub fn hoisted_nodes(&self) -> &[NodeId] {
+        self.hoist.as_ref().map_or(&[], |h| &h.frontier)
     }
 
     /// Whether the compile-time shape analysis proved batched executions

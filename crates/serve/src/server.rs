@@ -415,7 +415,7 @@ impl Server {
                 }));
             }
 
-            let mut readers = Vec::new();
+            let mut readers: Vec<std::thread::ScopedJoinHandle<()>> = Vec::new();
             loop {
                 let stream = match listener.accept() {
                     Ok(s) => s,
@@ -431,6 +431,14 @@ impl Server {
                     break;
                 }
                 connections += 1;
+                // Join the readers whose connections already closed, so a
+                // long-lived server holds one handle per open connection,
+                // not one per connection it ever accepted. Joined, not
+                // dropped: a reader's panic stays contained here exactly
+                // as in the final join below.
+                for done in readers.extract_if(.., |r| r.is_finished()) {
+                    let _ = done.join();
+                }
                 let ctx = &ctx;
                 readers.push(scope.spawn(move || {
                     reader_loop(stream, ctx);
@@ -791,14 +799,8 @@ fn execute_typed<T: BackendScalar>(
     let occ = jobs.len();
     let req0 = &jobs[0].request;
     let reg = jobs[0].backend;
-    let has_payload = !req0.family.payload_operands().is_empty();
-    let owned: Vec<Env<T>> = if has_payload {
-        jobs.iter().map(|j| j.request.env_from_pool(pool_env, seed)).collect()
-    } else {
-        Vec::new()
-    };
-    let refs: Vec<&Env<T>> =
-        if has_payload { owned.iter().collect() } else { jobs.iter().map(|_| pool_env).collect() };
+    let owned: Vec<Env<T>> = jobs.iter().map(|j| j.request.env_from_pool(pool_env, seed)).collect();
+    let refs: Vec<&Env<T>> = owned.iter().collect();
     let t_exec = Instant::now();
     let (plan, _) = cache.get_or_compile(req0.signature(reg.id()), || {
         Plan::compile_with_varying(

@@ -199,8 +199,10 @@ impl Request {
 
     /// The request's operand bindings, derived from the shared pool env
     /// for `(family, n)` with this request's payload vectors drawn on
-    /// top. Deterministic in `(request, seed)` — the batched and solo
-    /// passes see identical data.
+    /// top. The model operands share the pool's storage (cloning an
+    /// [`Env`] copies no matrix), so binding costs the payload alone.
+    /// Deterministic in `(request, seed)` — the batched and solo passes
+    /// see identical data.
     pub fn env_from_pool<T: Scalar>(&self, base: &Env<T>, seed: u64) -> Env<T> {
         let mut env = base.clone();
         let ctx = self.family.ctx(self.n);
@@ -257,6 +259,8 @@ pub fn synthetic_mix(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use laab_expr::eval::eval;
 
@@ -348,11 +352,22 @@ mod tests {
         assert_ne!(e1.expect("x"), e1.expect("y"), "per-name payload streams are distinct");
         assert_eq!(e1.expect("H"), base.expect("H"));
         assert_eq!(e2.expect("H"), base.expect("H"));
+        // The model operand is the pool's own storage, not a copy; the
+        // payload vectors are fresh allocations, distinct per request.
+        let shared = |e: &Env<f64>, name| Arc::clone(e.get_shared(name).unwrap());
+        for e in [&e1, &e1b, &e2] {
+            assert!(Arc::ptr_eq(&shared(e, "H"), &shared(&base, "H")));
+            for name in Family::SolveResidual.payload_operands() {
+                assert!(!Arc::ptr_eq(&shared(e, name), &shared(&base, name)), "{name}");
+            }
+        }
+        assert!(!Arc::ptr_eq(&shared(&e1, "x"), &shared(&e1b, "x")));
         // Families without vector payloads reuse the pool env as-is.
         let gbase = Family::Gram.env::<f64>(10, 3);
         let g1 = Request { family: Family::Gram, n: 10, dtype: Dtype::F64, payload: 1 }
             .env_from_pool(&gbase, 3);
         assert_eq!(g1.expect("Q"), gbase.expect("Q"));
+        assert!(Arc::ptr_eq(&shared(&g1, "Q"), &shared(&gbase, "Q")));
     }
 
     #[test]

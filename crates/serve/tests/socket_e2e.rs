@@ -5,8 +5,11 @@
 //! **deadline** (not just at drain), and shutdown is clean (no leaked
 //! socket file, every thread joined).
 
+use std::os::unix::net::UnixStream;
+
 use laab_serve::loadgen::{self, Arrival, LoadgenConfig};
-use laab_serve::{ServeConfig, Server};
+use laab_serve::proto::{self, Outcome};
+use laab_serve::{Dtype, Message, RequestMsg, ServeConfig, Server};
 
 fn server_cfg() -> ServeConfig {
     // The seed backend's batched execution is a per-item loop, so
@@ -110,4 +113,50 @@ fn requests_for_unserved_backends_are_rejected_not_executed() {
     assert_eq!(stats.served, 0);
     assert_eq!(stats.rejected, 16);
     assert!(!path.exists());
+}
+
+#[test]
+fn churned_short_connections_are_joined_and_shutdown_balances() {
+    // Hundreds of one-request connections, each closed before the next
+    // opens: the server joins finished readers as it accepts, keeps
+    // serving, and still shuts down with every counter accounted for.
+    const CONNECTIONS: u64 = 240;
+    let path = std::env::temp_dir().join(format!("laab-e2e-churn-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let server =
+        Server::bind(&format!("unix:{}", path.display()), &server_cfg()).expect("bind unix");
+    let handle = std::thread::spawn(move || server.run());
+
+    for id in 0..CONNECTIONS {
+        let mut stream = UnixStream::connect(&path).expect("connect");
+        let request = RequestMsg {
+            id,
+            family: "chain".to_string(),
+            n: 8,
+            dtype: Dtype::F64,
+            backend: "seed".to_string(),
+            payload: id,
+            deadline_us: 0,
+        };
+        proto::write_message(&mut stream, &Message::Request(request)).expect("send request");
+        match proto::read_message(&mut stream).expect("read response") {
+            Some(Message::Response(r)) => {
+                assert_eq!(r.id, id);
+                assert!(matches!(r.outcome, Outcome::Ok { .. }), "{:?}", r.outcome);
+            }
+            other => panic!("connection {id}: expected a response, got {other:?}"),
+        }
+    }
+    let mut stream = UnixStream::connect(&path).expect("connect for shutdown");
+    proto::write_message(&mut stream, &Message::Shutdown).expect("send shutdown");
+    assert!(matches!(proto::read_message(&mut stream), Ok(Some(Message::ShutdownAck))));
+    drop(stream);
+
+    let stats = handle.join().expect("server thread").expect("server run");
+    assert_eq!(stats.connections, CONNECTIONS + 1, "the shutdown connection counts too");
+    assert_eq!(stats.served, CONNECTIONS);
+    let refused =
+        [stats.rejected, stats.shed, stats.expired, stats.failed, stats.quarantined, stats.reaped];
+    assert_eq!(refused, [0; 6], "nothing refused, reaped or lost");
+    assert!(!path.exists(), "socket file must not leak past shutdown");
 }
